@@ -6,8 +6,7 @@ the value column in one pass (``ColumnarDatabase.fused_counts`` →
 (bin indices materialized, then two ``np.bincount`` calls with a mask
 gather in between).  The table — per config: records, bin width,
 unfused ms, fused ms, speedup — lands in
-``benchmarks/results/kernel_fused.txt`` together with the backend that
-served the run (``REPRO_KERNEL`` selects it; numba when available).
+``benchmarks/results/kernel_fused.txt``.
 
 Tier-1 keeps only the load-insensitive assertion: both constructions
 agree bit for bit on every bench config.  The wall-clock speedup bar is

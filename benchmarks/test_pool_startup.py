@@ -236,13 +236,13 @@ def test_shm_startup_ships_orders_of_magnitude_fewer_bytes():
 def test_threaded_aggregate_exceeds_serial():
     """>1x aggregate: four threaded clients must at least beat serial.
 
-    The kernel-tier acceptance row (ROADMAP item 3): with GIL-releasing
-    compiled kernels on the noise path, four analyst threads can
-    overlap on real cores, so the aggregate stream must be strictly
-    faster than issuing the same requests serially — the historical
-    numpy-only measurement sat below 1x (0.67x on the lane this bar
-    was cut from) because every release held the GIL end to end.
-    Needs real cores: hosts under 4 CPUs skip with the reason.
+    The kernel-tier acceptance row (ROADMAP item 3): four analyst
+    threads on real cores must make the aggregate stream strictly
+    faster than issuing the same requests serially.  Whether the numpy
+    kernels clear it is unverified: no run on a >= 4-CPU host has been
+    made, and the historical measurement sat below 1x (0.67x on the
+    lane this bar was cut from) because every release held the GIL end
+    to end.  Needs real cores: hosts under 4 CPUs skip with the reason.
     """
     cpus = os.cpu_count() or 1
     if cpus < 4:

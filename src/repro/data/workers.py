@@ -32,13 +32,10 @@ inverts the data flow:
   rendering, so a burst of requests over the same policy pays the
   kernel once per shard and repeated histogram traffic is O(1) per
   worker — the worker-side mirror of the release server's caches
-  (``worker_cache_stats()`` reports exact hit/miss counts, plus the
-  kernel backend the worker resolved).  Cold count pairs are built by
-  the fused counting kernel of :mod:`repro.mechanisms.kernels` on the
-  resident shard (one pass producing both histograms; the compiled
-  backend releases the GIL); workers inherit ``REPRO_KERNEL`` from the
-  parent environment, so parent and workers always count on the same
-  backend — and the pairs are byte-identical on every backend anyway.  Appends
+  (``worker_cache_stats()`` reports exact hit/miss counts).  Cold
+  count pairs are built by the fused counting kernel of
+  :mod:`repro.mechanisms.kernels` on the resident shard (one pass
+  producing both histograms).  Appends
   extend cached arrays by evaluating only the new chunk and advance
   count pairs by the chunk's own pair (policies and binnings are
   per-record and counts are additive, so both are bit-identical to
@@ -341,17 +338,11 @@ def _worker_main(conn) -> None:
             elif op == "expire":
                 result = state.expire(msg[1])
             elif op == "cache_stats":
-                from repro.mechanisms import kernels
-
                 result = dict(
                     state.cache_stats,
                     mask_entries=len(state.masks),
                     index_entries=len(state.indices),
                     counts_entries=len(state.counts),
-                    # which kernel backend this worker's fused counts
-                    # run on (workers inherit REPRO_KERNEL, so it must
-                    # match the parent's — checkable from stats)
-                    kernel_backend=kernels.active_backend(),
                 )
             else:
                 raise ValueError(f"unknown worker op {op!r}")

@@ -1,70 +1,54 @@
-"""The raw-speed kernel tier: one contract, two backends.
+"""The raw-speed kernel tier: one numpy implementation per primitive.
 
 Every mechanism's hot loop bottoms out in the same handful of
 primitives — fused ``(x, x_ns)`` histogram counting and the
-inverse-transform noise samplers of
-:mod:`repro.mechanisms.batch_sampling`.  This package gives those
-primitives a swappable compiled backend:
+inverse-transform noise transforms of
+:mod:`repro.mechanisms.batch_sampling`.  Each public kernel here is its
+input validation plus one numpy ufunc pipeline:
 
-* ``numpy`` — the pure-ufunc implementations (always available; the
-  reference semantics).
-* ``numba`` — ``@njit(nogil=True, cache=True)`` loops that fuse the
-  per-record passes **and release the GIL**, which is what lets the RPC
-  tier's ``--max-readers`` reader concurrency scale on real cores
-  (see docs/PERFORMANCE.md §13).
+* the count kernels fuse the two-bincount ``(x, x_ns)`` construction
+  into a single ``np.bincount`` pass over interleaved ``2*bin + mask``
+  codes (exact integer arithmetic, so the fusion is byte-identical to
+  the unfused pair);
+* the binomial lookup inverts a group-lifted CDF table with one
+  ``searchsorted`` (pure float comparisons);
+* the noise transforms turn uniforms already drawn from the caller's
+  generator into Laplace / one-sided Laplace noise, so a seeded release
+  is one byte-for-byte reproducible stream.
 
-Selection happens once at import time:
-
-* ``REPRO_KERNEL=numpy`` forces the fallback (the tier-1 lane that
-  keeps it from rotting);
-* ``REPRO_KERNEL=numba`` *requires* the compiled backend and raises a
-  clear error when numba is not importable (install the ``[compiled]``
-  extra);
-* unset (or ``auto``) tries numba and silently falls back to numpy.
-
-Tests may rebind at runtime with :func:`use_backend`.
-
-Backend contract
-----------------
-Integer outputs — the fused ``(x, x_ns)`` count pairs and the binomial
-inverse-CDF lookups (pure comparisons, no transcendentals) — are
-**byte-identical across backends**.  The float noise transforms
-(``laplace_transform``/``one_sided_transform``) are deterministic in
-``(seed, backend)`` and distribution-exact, but their last-ulp bits may
-differ between backends where libm and numpy's SIMD ``log`` disagree;
-a seeded release is therefore byte-for-byte reproducible *per backend*,
-and the ``compiled`` test lane asserts cross-backend agreement where it
-is structurally guaranteed.
+Thread safety: the scratch pool is thread-local, so concurrent releases
+(the RPC tier's normal traffic shape) never fill each other's buffers.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import threading
 
 import numpy as np
 
+from repro.mechanisms.kernels._constants import (
+    _BINOM_U_EDGE,
+    _EXP_ONE32,
+    _LN4_32,
+    _MANTISSA_SHIFT,
+    _MIN_TSQ32,
+    _MIN_U32,
+    _SIGN32,
+)
+
 __all__ = [
-    "KernelBackendError",
     "active_backend",
-    "available_backends",
     "hist_pair",
     "int_bin_pair",
     "binomial_lookup",
     "laplace_transform",
     "one_sided_transform",
-    "numba_available",
-    "select_backend",
-    "use_backend",
 ]
 
-_ENV_VAR = "REPRO_KERNEL"
-_BACKEND_NAMES = ("numba", "numpy")
 
-
-class KernelBackendError(RuntimeError):
-    """A kernel backend was requested but cannot be provided."""
+def active_backend() -> str:
+    """The name of the kernel implementation (always ``"numpy"``)."""
+    return "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -102,98 +86,7 @@ def scratch(shape: tuple[int, ...], dtype: type, slot: int = 0) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Backend loading and selection
-# ----------------------------------------------------------------------
-
-_lock = threading.Lock()
-_active = None  # the active backend module
-_numba_error: str | None = None
-
-
-def numba_available() -> bool:
-    """True when the numba backend can be imported and compiled."""
-    try:
-        _load("numba")
-        return True
-    except KernelBackendError:
-        return False
-
-
-def _load(name: str):
-    """Import (and memoize) a backend module by name."""
-    global _numba_error
-    if name == "numpy":
-        from repro.mechanisms.kernels import numpy_backend
-
-        return numpy_backend
-    if name == "numba":
-        if _numba_error is not None:
-            raise KernelBackendError(_numba_error)
-        try:
-            from repro.mechanisms.kernels import numba_backend
-
-            return numba_backend
-        except ImportError as exc:
-            _numba_error = (
-                "the numba kernel backend is unavailable "
-                f"({exc}); install the [compiled] extra or set "
-                f"{_ENV_VAR}=numpy"
-            )
-            raise KernelBackendError(_numba_error) from exc
-    raise KernelBackendError(
-        f"unknown kernel backend {name!r}; choose from "
-        f"{list(_BACKEND_NAMES) + ['auto']}"
-    )
-
-
-def select_backend(name: str | None = None) -> str:
-    """Activate a backend; returns the active backend's name.
-
-    ``None``/``"auto"`` prefers numba and falls back to numpy;
-    explicit names are strict (a missing numba raises
-    :class:`KernelBackendError` instead of silently degrading).
-    """
-    global _active
-    if name is None or name == "auto" or name == "":
-        try:
-            module = _load("numba")
-        except KernelBackendError:
-            module = _load("numpy")
-    else:
-        module = _load(name)
-    with _lock:
-        _active = module
-    return module.name
-
-
-def active_backend() -> str:
-    """The name of the backend serving the kernel calls (``numpy``/``numba``)."""
-    return _active.name
-
-
-def available_backends() -> tuple[str, ...]:
-    """The backends importable in this environment."""
-    names = ["numpy"]
-    if numba_available():
-        names.insert(0, "numba")
-    return tuple(names)
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    """Temporarily rebind the active backend (tests/benchmarks only)."""
-    global _active
-    previous = _active
-    select_backend(name)
-    try:
-        yield
-    finally:
-        with _lock:
-            _active = previous
-
-
-# ----------------------------------------------------------------------
-# The kernel surface (dispatches to the active backend)
+# The kernels
 # ----------------------------------------------------------------------
 
 
@@ -205,7 +98,7 @@ def hist_pair(
     ``x[b]`` counts every record in bin ``b``; ``x_ns[b]`` counts the
     records whose ``ns_mask`` entry is True.  Indices outside
     ``[0, n_bins)`` raise ``ValueError`` (a binning that silently drops
-    records must fail loudly).  Byte-identical across backends.
+    records must fail loudly).
     """
     bin_indices = np.ascontiguousarray(bin_indices, dtype=np.int64)
     ns_mask = np.ascontiguousarray(ns_mask, dtype=bool)
@@ -214,7 +107,7 @@ def hist_pair(
         raise ValueError(
             f"record mapped to bin {bad}, outside [0, {n_bins})"
         )
-    return _active.hist_pair(bin_indices, ns_mask, int(n_bins))
+    return _fused_counts(bin_indices, ns_mask, int(n_bins))
 
 
 def int_bin_pair(
@@ -225,71 +118,41 @@ def int_bin_pair(
     n_bins: int,
     ns_mask: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fully fused equal-width integer binning + ``(x, x_ns)`` counts.
+    """Fused equal-width integer binning + ``(x, x_ns)`` counts.
 
-    The single-pass form of ``IntegerBinning.bin_indices`` followed by
-    :func:`hist_pair` — no per-record index array is materialized on
-    the compiled backend.  ``values`` must lie in ``[low, high)``
-    (checked against ``high`` itself, not the last bin's upper edge, so
-    a ragged final bin rejects exactly what the unfused binning
-    rejects).  Byte-identical across backends, and to the unfused path.
+    The single-call form of ``IntegerBinning.bin_indices`` followed by
+    :func:`hist_pair`.  ``values`` must lie in ``[low, high)`` (checked
+    against ``high`` itself, not the last bin's upper edge, so a ragged
+    final bin rejects exactly what the unfused binning rejects).
+    Byte-identical to the unfused path.
     """
     values = np.ascontiguousarray(values, dtype=np.int64)
     ns_mask = np.ascontiguousarray(ns_mask, dtype=bool)
     low = int(low)
     width = int(width)
     high = int(high)
-    x, x_ns, bad = _active.int_bin_pair(
-        values, low, width, high, int(n_bins), ns_mask
-    )
-    if bad >= 0:
-        offender = int(values[bad])
+    in_range = (values >= low) & (values < high)
+    if not np.all(in_range):
+        offender = int(values[np.flatnonzero(~in_range)[0]])
         raise ValueError(
             f"value {offender!r} outside [{low}, {high})"
         )
+    idx = values - low
+    if width != 1:
+        idx //= width
+    return _fused_counts(idx, ns_mask, int(n_bins))
+
+
+def _fused_counts(
+    bin_indices: np.ndarray, ns_mask: np.ndarray, n_bins: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One bincount over ``2*bin + mask`` codes (validated input)."""
+    fused = bin_indices << 1
+    fused += ns_mask
+    counts = np.bincount(fused, minlength=2 * n_bins)
+    x_ns = np.ascontiguousarray(counts[1::2]).astype(np.int64, copy=False)
+    x = (counts[::2] + x_ns).astype(np.int64, copy=False)
     return x, x_ns
-
-
-def binomial_lookup(
-    scaled: np.ndarray,
-    inverse: np.ndarray,
-    k_flat: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Invert the group-lifted binomial CDF table for a uniform matrix.
-
-    ``u`` is clamped off the lattice edges, lifted by its column's
-    group id, and inverted by binary search over ``scaled`` (the
-    semantics of ``np.searchsorted(..., side="left")`` — pure float
-    comparisons, so the result is byte-identical across backends).
-    Returns float64 outcome rows; consumes ``u`` as scratch.
-    """
-    return _active.binomial_lookup(scaled, inverse, k_flat, u)
-
-
-def laplace_transform(
-    bits: np.ndarray, scale: float, base: np.ndarray
-) -> np.ndarray:
-    """``base + Lap(scale)`` from raw 23-bit uniforms, as float64 rows.
-
-    ``bits`` is a ``(rows, cols)`` uint32 matrix of raw generator words
-    (consumed as scratch); ``base`` broadcasts along rows.  See
-    :func:`repro.mechanisms.batch_sampling.laplace_rows` for the
-    transform's derivation.  Deterministic per backend.
-    """
-    return _active.laplace_transform(bits, float(scale), base)
-
-
-def one_sided_transform(
-    u: np.ndarray, scale: float, values: np.ndarray
-) -> np.ndarray:
-    """``values + scale * ln(u)`` (one-sided Laplace), as float64 rows.
-
-    ``u`` is a ``(rows, cols)`` float32 uniform matrix already drawn
-    from the caller's generator (consumed as scratch); ``values``
-    broadcasts along rows.  Deterministic per backend.
-    """
-    return _active.one_sided_transform(u, float(scale), values)
 
 
 def _check_bin_range(bin_indices: np.ndarray, n_bins: int) -> int | None:
@@ -303,14 +166,75 @@ def _check_bin_range(bin_indices: np.ndarray, n_bins: int) -> int | None:
     return int(lo if lo < 0 else hi)
 
 
-# Import-time selection: honor REPRO_KERNEL, default to auto-detect.
-_requested = os.environ.get(_ENV_VAR)
-if _requested is not None and _requested not in ("", "auto"):
-    if _requested not in _BACKEND_NAMES:
-        raise KernelBackendError(
-            f"{_ENV_VAR}={_requested!r} names no kernel backend; choose "
-            f"from {list(_BACKEND_NAMES) + ['auto']}"
-        )
-    select_backend(_requested)
-else:
-    select_backend(None)
+def binomial_lookup(
+    scaled: np.ndarray,
+    inverse: np.ndarray,
+    k_flat: np.ndarray,
+    u: np.ndarray,
+) -> np.ndarray:
+    """Invert the group-lifted binomial CDF table for a uniform matrix.
+
+    ``u`` is clamped off the lattice edges, lifted by its column's
+    group id, and inverted by one ``np.searchsorted(..., side="left")``
+    over ``scaled``.  Returns float64 outcome rows; consumes ``u`` as
+    scratch.
+    """
+    np.clip(u, _BINOM_U_EDGE, 1.0 - _BINOM_U_EDGE, out=u)
+    u += inverse[np.newaxis, :]
+    idx = np.searchsorted(scaled, u.ravel(), side="left")
+    return k_flat[idx].reshape(u.shape).astype(np.float64)
+
+
+def laplace_transform(
+    bits: np.ndarray, scale: float, base: np.ndarray
+) -> np.ndarray:
+    """``base + Lap(scale)`` from raw 23-bit uniforms, as float64 rows.
+
+    ``bits`` is a ``(rows, cols)`` uint32 matrix of raw generator words
+    (consumed as scratch); ``base`` broadcasts along rows.  See
+    :func:`repro.mechanisms.batch_sampling.laplace_rows` for the
+    transform's derivation.
+
+    23 mantissa bits under a fixed exponent give a float in ``[1, 2)``;
+    subtracting 1.5 centers it to ``t in [-1/2, 1/2)``.  ``ln|2t|`` is
+    computed as ``(ln(t^2) + ln 4) / 2`` to reuse the squaring pass,
+    and the sign is applied by XOR-ing ``t``'s sign bit into the
+    float32 noise, which avoids a ``copysign`` pass.
+    """
+    scale = float(scale)
+    shape = bits.shape
+    w = scratch(shape, np.float32, 1)
+    np.right_shift(bits, _MANTISSA_SHIFT, out=bits)
+    np.bitwise_or(bits, _EXP_ONE32, out=bits)
+    t = bits.view(np.float32)                 # uniform on [1, 2)
+    t -= np.float32(1.5)                      # t in [-1/2, 1/2)
+    np.multiply(t, t, out=w)                  # t^2
+    np.maximum(w, _MIN_TSQ32, out=w)          # guard log(0) at t = 0
+    np.log(w, out=w)
+    np.add(w, _LN4_32, out=w)                 # ln(4 t^2) = 2 ln|2t|
+    np.multiply(w, np.float32(0.5 * scale), out=w)   # scale * ln|2t| <= 0
+    tv = t.view(np.uint32)
+    wv = w.view(np.uint32)
+    np.bitwise_and(tv, _SIGN32, out=tv)       # sign(t) as a bit mask
+    np.bitwise_xor(wv, tv, out=wv)            # random +/- magnitude
+    out = np.empty(shape)
+    np.add(base, w, out=out)                  # fused f32 -> f64 widen + add
+    return out
+
+
+def one_sided_transform(
+    u: np.ndarray, scale: float, values: np.ndarray
+) -> np.ndarray:
+    """``values + scale * ln(u)`` (one-sided Laplace), as float64 rows.
+
+    ``u`` is a ``(rows, cols)`` float32 uniform matrix already drawn
+    from the caller's generator (consumed as scratch); ``values``
+    broadcasts along rows.  The log runs in float32 and is widened in
+    the final add.
+    """
+    np.maximum(u, _MIN_U32, out=u)            # guard log(0) at u = 0
+    np.log(u, out=u)
+    np.multiply(u, np.float32(float(scale)), out=u)  # scale * ln u <= 0
+    out = np.empty(u.shape)
+    np.add(values, u, out=out)
+    return out

@@ -1,10 +1,9 @@
-"""Constants shared by every kernel backend.
+"""Constants shared by the kernels and the batched samplers.
 
-Kept in a leaf module so the backends and
-:mod:`repro.mechanisms.batch_sampling` can all import them without
-cycles.  The values define the transforms' bit-level behavior — both
-backends must read the same ones or their streams diverge by more than
-the documented last-ulp tolerance.
+Kept in a leaf module so :mod:`repro.mechanisms.kernels` and
+:mod:`repro.mechanisms.batch_sampling` can both import them without
+cycles.  The values define the noise transforms' bit-level behavior:
+changing one changes every seeded release stream.
 """
 
 from __future__ import annotations

@@ -462,10 +462,9 @@ def counts_from_mask(
     indices outside ``[0, n_bins)`` and index/mask length mismatches
     (a binning that silently drops records must fail loudly, not
     produce an x/x_ns pair built from inconsistent record sets).
-    Counting runs on the active kernel backend
-    (:mod:`repro.mechanisms.kernels`): one fused pass producing both
-    histograms — byte-identical on every backend to the classic
-    two-bincount construction.
+    Counting runs in :func:`repro.mechanisms.kernels.hist_pair`: one
+    fused pass producing both histograms — byte-identical to the
+    classic two-bincount construction.
     """
     from repro.mechanisms import kernels
 

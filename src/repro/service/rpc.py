@@ -722,10 +722,9 @@ class RpcServer:
                 "server": "repro.service.rpc",
                 "n_shards": server.n_shards,
                 "n_records": len(server.db),
-                # which kernel backend serves this process's releases;
-                # "numba" means the noise/count kernels drop the GIL,
-                # so max_readers concurrency scales on real cores
-                # (docs/PERFORMANCE.md §13)
+                # the kernel implementation ("numpy"); kept so the
+                # reply's wire shape stays stable for clients that
+                # read it (docs/PERFORMANCE.md §13)
                 "kernel_backend": kernels.active_backend(),
             }
         if op == "mechanisms":

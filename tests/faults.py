@@ -408,6 +408,13 @@ class ChaosProxy:
             if self._closed:
                 return
             self._closed = True
+        # Closing the listener does not wake a thread blocked in
+        # accept(); a throwaway connection does, and the loop then sees
+        # _closed and returns instead of holding the join for 5 s.
+        try:
+            socket.create_connection((self.host, self.port), timeout=1).close()
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

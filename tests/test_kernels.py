@@ -1,28 +1,20 @@
-"""The kernel tier: backend registry, fused counts, compiled parity.
+"""The kernel tier: fused counts and the noise samplers' distributions.
 
-Three lanes:
+Two lanes:
 
-* **Registry** — import-time selection honors ``REPRO_KERNEL``
-  (subprocess checks so the env var is seen at import), explicit
-  selection is strict, ``use_backend`` restores.
 * **Fused bit-identity** (hypothesis) — the fused ``(x, x_ns)`` paths
   (``hist_pair``, ``int_bin_pair``, ``HistogramInput.from_columnar``)
   are byte-identical to the classic two-bincount construction and to
   the per-record paper-semantics reference, across the policy algebra,
   integer/categorical/ragged-final-bin binnings, and sparse/dense/
   sharded layouts.
-* **Compiled parity** (``-m compiled``-tagged, skips with a reason when
-  numba is absent) — the numba backend's integer kernels are
-  byte-identical to numpy's, its samplers are seeded-deterministic, and
-  their outputs pass the same chi-squared distribution checks the numpy
-  lane pins.
+* **Samplers** — the noise transforms are seed-deterministic and their
+  outputs pass chi-squared checks against the exact Laplace, one-sided
+  Laplace and binomial distributions.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from math import comb
 
 import numpy as np
@@ -41,7 +33,6 @@ from repro.core.policy import (
 )
 from repro.data.columnar import ColumnarDatabase
 from repro.mechanisms import batch_sampling, kernels
-from repro.mechanisms.kernels import KernelBackendError
 from repro.queries.histogram import (
     CategoricalBinning,
     HistogramInput,
@@ -53,89 +44,10 @@ from repro.queries.histogram import (
 MAX_EXAMPLES = 30
 CITIES = ("amber", "blue", "coral", "dune")
 
-requires_numba = pytest.mark.skipif(
-    not kernels.numba_available(),
-    reason=(
-        "numba not importable in this environment; the compiled kernel "
-        "lane needs the [compiled] extra (pip install 'repro-osdp[compiled]')"
-    ),
-)
 
-
-# ----------------------------------------------------------------------
-# Registry and selection
-# ----------------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in kernels.available_backends()
-
-    def test_active_backend_is_available(self):
-        assert kernels.active_backend() in kernels.available_backends()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(KernelBackendError, match="bogus"):
-            kernels.select_backend("bogus")
-
-    def test_numba_strict_when_missing(self):
-        if kernels.numba_available():
-            pytest.skip("numba installed; strict selection succeeds here")
-        with pytest.raises(KernelBackendError, match="numba"):
-            kernels.select_backend("numba")
-
-    def test_use_backend_restores_previous(self):
-        before = kernels.active_backend()
-        with kernels.use_backend("numpy"):
-            assert kernels.active_backend() == "numpy"
-        assert kernels.active_backend() == before
-
-    def _run(self, code: str, env_value: str | None) -> subprocess.CompletedProcess:
-        env = dict(os.environ)
-        env.pop("REPRO_KERNEL", None)
-        if env_value is not None:
-            env["REPRO_KERNEL"] = env_value
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        return subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-
-    def test_env_forces_numpy_at_import(self):
-        proc = self._run(
-            "from repro.mechanisms import kernels; print(kernels.active_backend())",
-            "numpy",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "numpy"
-
-    def test_env_rejects_unknown_name_at_import(self):
-        proc = self._run("import repro.mechanisms.kernels", "bogus")
-        assert proc.returncode != 0
-        assert "REPRO_KERNEL" in proc.stderr and "bogus" in proc.stderr
-
-    def test_env_numba_is_strict_at_import(self):
-        proc = self._run(
-            "from repro.mechanisms import kernels; print(kernels.active_backend())",
-            "numba",
-        )
-        if kernels.numba_available():
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.strip() == "numba"
-        else:
-            assert proc.returncode != 0
-            assert "numba" in proc.stderr
-
-    def test_auto_never_fails(self):
-        proc = self._run(
-            "from repro.mechanisms import kernels; print(kernels.active_backend())",
-            "auto",
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() in ("numpy", "numba")
+def test_active_backend_is_numpy():
+    # Recorded by the benchmark's environment block and the RPC ping.
+    assert kernels.active_backend() == "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +246,7 @@ def test_fused_counts_rejects_mask_length_mismatch():
 
 
 # ----------------------------------------------------------------------
-# Compiled lane: numba parity and distribution checks
+# Samplers: seed determinism and distribution checks
 # ----------------------------------------------------------------------
 
 
@@ -352,94 +264,47 @@ def _chi2_ok(obs: np.ndarray, expected: np.ndarray) -> None:
     assert chi2 < dof + 6 * np.sqrt(2 * dof), (chi2, dof)
 
 
-@pytest.mark.compiled
-@requires_numba
-class TestCompiledParity:
-    """numba backend vs numpy backend, on the same inputs."""
-
-    def test_integer_kernels_byte_identical(self):
-        rng = np.random.default_rng(11)
-        idx = rng.integers(0, 31, size=4001)
-        mask = rng.random(idx.shape) < 0.3
-        with kernels.use_backend("numpy"):
-            ref = kernels.hist_pair(idx, mask, 31)
-        with kernels.use_backend("numba"):
-            got = kernels.hist_pair(idx, mask, 31)
-        assert ref[0].tobytes() == got[0].tobytes()
-        assert ref[1].tobytes() == got[1].tobytes()
-
-        values = rng.integers(-5, 17, size=3777)
-        with kernels.use_backend("numpy"):
-            ref = kernels.int_bin_pair(values, -5, 4, 17, 6, mask[: len(values)])
-        with kernels.use_backend("numba"):
-            got = kernels.int_bin_pair(values, -5, 4, 17, 6, mask[: len(values)])
-        assert ref[0].tobytes() == got[0].tobytes()
-        assert ref[1].tobytes() == got[1].tobytes()
-
-    def test_binomial_rows_byte_identical(self):
-        counts = np.random.default_rng(5).integers(1, 200, size=64)
-        with kernels.use_backend("numpy"):
-            ref = batch_sampling.binomial_inverse_cdf_rows(
-                np.random.default_rng(42), counts, 0.37, 50
-            )
-        with kernels.use_backend("numba"):
-            got = batch_sampling.binomial_inverse_cdf_rows(
-                np.random.default_rng(42), counts, 0.37, 50
-            )
-        assert ref.tobytes() == got.tobytes()
-
-    def test_samplers_seed_deterministic_per_backend(self):
-        base = np.linspace(-3.0, 3.0, 32)
-        with kernels.use_backend("numba"):
-            a = batch_sampling.laplace_rows(
-                np.random.default_rng(9), 2.0, base, 40
-            ).copy()
-            b = batch_sampling.laplace_rows(
-                np.random.default_rng(9), 2.0, base, 40
-            ).copy()
-            c = batch_sampling.one_sided_rows(
-                np.random.default_rng(9), 2.0, base, 40
-            ).copy()
-            d = batch_sampling.one_sided_rows(
-                np.random.default_rng(9), 2.0, base, 40
-            ).copy()
+def test_samplers_seed_deterministic():
+    base = np.linspace(-3.0, 3.0, 32)
+    for rows in (batch_sampling.laplace_rows, batch_sampling.one_sided_rows):
+        a = rows(np.random.default_rng(9), 2.0, base, 40).copy()
+        b = rows(np.random.default_rng(9), 2.0, base, 40).copy()
         assert a.tobytes() == b.tobytes()
-        assert c.tobytes() == d.tobytes()
 
-    def test_compiled_laplace_chi_squared(self):
-        scale = 1.7
-        with kernels.use_backend("numba"):
-            draws = batch_sampling.laplace_rows(
-                np.random.default_rng(23), scale, np.zeros(500), 400
-            ).ravel()
-        edges = np.linspace(-6 * scale, 6 * scale, 25)
-        obs = np.histogram(draws, bins=edges)[0]
-        cdf = np.where(
-            edges < 0,
-            0.5 * np.exp(edges / scale),
-            1 - 0.5 * np.exp(-edges / scale),
-        )
-        expected = np.diff(cdf) * draws.size
-        _chi2_ok(obs, expected)
 
-    def test_compiled_one_sided_chi_squared(self):
-        scale = 2.3
-        with kernels.use_backend("numba"):
-            draws = batch_sampling.one_sided_rows(
-                np.random.default_rng(29), scale, np.zeros(500), 400
-            ).ravel()
-        assert (draws <= 0).all()  # strictly one-sided
-        edges = -np.linspace(0, 8 * scale, 25)[::-1]
-        obs = np.histogram(draws, bins=edges)[0]
-        cdf = np.exp(edges / scale)  # P(X <= t) = e^{t/scale}, t <= 0
-        expected = np.diff(cdf) * draws.size
-        _chi2_ok(obs, expected)
+def test_laplace_rows_chi_squared():
+    scale = 1.7
+    draws = batch_sampling.laplace_rows(
+        np.random.default_rng(23), scale, np.zeros(500), 400
+    ).ravel()
+    edges = np.linspace(-6 * scale, 6 * scale, 25)
+    obs = np.histogram(draws, bins=edges)[0]
+    cdf = np.where(
+        edges < 0,
+        0.5 * np.exp(edges / scale),
+        1 - 0.5 * np.exp(-edges / scale),
+    )
+    expected = np.diff(cdf) * draws.size
+    _chi2_ok(obs, expected)
 
-    def test_compiled_binomial_chi_squared(self):
-        n, p = 12, 0.632
-        with kernels.use_backend("numba"):
-            draws = batch_sampling.binomial_inverse_cdf_rows(
-                np.random.default_rng(7), np.full(500, n), p, 400
-            ).ravel()
-        obs = np.bincount(draws.astype(int), minlength=n + 1)
-        _chi2_ok(obs, _exact_pmf(n, p) * draws.size)
+
+def test_one_sided_rows_chi_squared():
+    scale = 2.3
+    draws = batch_sampling.one_sided_rows(
+        np.random.default_rng(29), scale, np.zeros(500), 400
+    ).ravel()
+    assert (draws <= 0).all()  # strictly one-sided
+    edges = -np.linspace(0, 8 * scale, 25)[::-1]
+    obs = np.histogram(draws, bins=edges)[0]
+    cdf = np.exp(edges / scale)  # P(X <= t) = e^{t/scale}, t <= 0
+    expected = np.diff(cdf) * draws.size
+    _chi2_ok(obs, expected)
+
+
+def test_binomial_rows_chi_squared():
+    n, p = 12, 0.632
+    draws = batch_sampling.binomial_inverse_cdf_rows(
+        np.random.default_rng(7), np.full(500, n), p, 400
+    ).ravel()
+    obs = np.bincount(draws.astype(int), minlength=n + 1)
+    _chi2_ok(obs, _exact_pmf(n, p) * draws.size)
