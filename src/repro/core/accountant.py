@@ -78,6 +78,14 @@ class PrivacyAccountant:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+    # Running totals of the ledger (global and per analyst), kept by
+    # _append_entry so budget reads do not re-sum the whole ledger.
+    # Accumulated in append order: the same left-to-right float sum a
+    # re-sum would produce, bit for bit.
+    _spent: float = field(default=0.0, init=False, repr=False, compare=False)
+    _spent_by: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.total_epsilon <= 0:
@@ -93,10 +101,13 @@ class PrivacyAccountant:
                     f"quota for analyst {name!r} must be positive"
                 )
         self.quotas = quotas
+        entries, self._ledger = self._ledger, []
+        for entry in entries:
+            self._append_entry(entry)
 
     @property
     def spent(self) -> float:
-        return sum(entry.epsilon for entry in self._ledger)
+        return self._spent
 
     @property
     def remaining(self) -> float:
@@ -108,11 +119,7 @@ class PrivacyAccountant:
 
     def spent_by(self, analyst: str) -> float:
         """Total epsilon charged under one analyst credential."""
-        return sum(
-            entry.epsilon
-            for entry in self._ledger
-            if entry.analyst == analyst
-        )
+        return self._spent_by.get(analyst, 0.0)
 
     def quota_remaining(self, analyst: str) -> float | None:
         """The analyst's remaining quota, or None when unquota'd."""
@@ -177,6 +184,10 @@ class PrivacyAccountant:
         (further charges are then refused by :meth:`_check_charge`).
         """
         self._ledger.append(entry)
+        self._spent += entry.epsilon
+        self._spent_by[entry.analyst] = (
+            self._spent_by.get(entry.analyst, 0.0) + entry.epsilon
+        )
 
     def for_analyst(self, analyst: str | None) -> "PrivacyAccountant | AnalystAccountant":
         """This accountant with charges bound to ``analyst``.

@@ -63,8 +63,12 @@ def _iter_bundle_records(columns) -> Iterable[Record]:
 
 
 def _mask_from_bool(sensitive: np.ndarray) -> np.ndarray:
-    """bool 'is sensitive' array -> {0, 1} mask (0 = sensitive)."""
-    return np.where(sensitive, SENSITIVE, NON_SENSITIVE).astype(MASK_DTYPE)
+    """bool 'is sensitive' array -> {0, 1} mask (0 = sensitive).
+
+    A bool is one byte holding 0 or 1, so the negation reinterpreted as
+    int8 *is* the mask (``NON_SENSITIVE == 1``) — one pass, no temporary.
+    """
+    return np.logical_not(sensitive).view(MASK_DTYPE)
 
 
 def _shard_aware(impl: Callable) -> Callable:
@@ -307,7 +311,7 @@ class LambdaPolicy(Policy):
             except Exception:
                 return super().evaluate_batch(columns)
             if sensitive.shape == (_bundle_length(columns),):
-                return _mask_from_bool(sensitive.astype(bool))
+                return _mask_from_bool(sensitive.astype(bool, copy=False))
         return super().evaluate_batch(columns)
 
 
@@ -359,7 +363,7 @@ class AttributePolicy(Policy):
                 bool(self._predicate(values[i])) == bool(result[i])
                 for i in probes
             ):
-                return _mask_from_bool(result.astype(bool))
+                return _mask_from_bool(result.astype(bool, copy=False))
         sensitive = np.fromiter(
             (bool(self._predicate(v)) for v in values),
             dtype=bool,

@@ -38,6 +38,7 @@ from repro.mechanisms.kernels._constants import (
 
 __all__ = [
     "active_backend",
+    "check_bin_range",
     "hist_pair",
     "int_bin_pair",
     "binomial_lookup",
@@ -102,11 +103,7 @@ def hist_pair(
     """
     bin_indices = np.ascontiguousarray(bin_indices, dtype=np.int64)
     ns_mask = np.ascontiguousarray(ns_mask, dtype=bool)
-    bad = _check_bin_range(bin_indices, n_bins)
-    if bad is not None:
-        raise ValueError(
-            f"record mapped to bin {bad}, outside [0, {n_bins})"
-        )
+    check_bin_range(bin_indices, n_bins)
     return _fused_counts(bin_indices, ns_mask, int(n_bins))
 
 
@@ -155,15 +152,17 @@ def _fused_counts(
     return x, x_ns
 
 
-def _check_bin_range(bin_indices: np.ndarray, n_bins: int) -> int | None:
-    """The first out-of-range bin index, or None when all are valid."""
+def check_bin_range(bin_indices: np.ndarray, n_bins: int) -> None:
+    """Raise ``ValueError`` unless every index lies in ``[0, n_bins)``."""
     if not len(bin_indices):
-        return None
+        return
     lo = bin_indices.min()
     hi = bin_indices.max()
-    if lo >= 0 and hi < n_bins:
-        return None
-    return int(lo if lo < 0 else hi)
+    if lo < 0 or hi >= n_bins:
+        bad = int(lo if lo < 0 else hi)
+        raise ValueError(
+            f"record mapped to bin {bad}, outside [0, {n_bins})"
+        )
 
 
 def binomial_lookup(

@@ -510,9 +510,11 @@ class FleetSupervisor:
             return
         if now >= state.next_restart_at:
             state.next_restart_at = None
-            state.restarts += 1
             self._spawn(state, wait=False)
             if self._await_address(state):
+                # Counted only once the child listens: health() must not
+                # report a restart whose endpoint refuses connections.
+                state.restarts += 1
                 self._event(
                     f"endpoint {state.spec.name} restarted on "
                     f"{state.address[0]}:{state.address[1]} (WAL replay "

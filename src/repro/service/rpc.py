@@ -88,6 +88,7 @@ import socket
 import socketserver
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
 
 from repro.api.resilience import DeadlineExceeded, ServerOverloaded
@@ -368,7 +369,12 @@ class RpcServer:
         self._ingest_events = 0
         self._lock = ReadWriteLock(max_readers=max_readers)
         self._tcp = _ThreadedTCPServer((host, port), _Handler)
-        self._tcp.rpc = self  # type: ignore[attr-defined]
+        # A weak back-reference: a strong one would make a cycle, and a
+        # closed server (with the ReleaseServer and table it serves)
+        # would then live on until the cyclic collector ran.  The serve
+        # thread runs a bound method of self, so a serving server stays
+        # alive while its handlers use this reference.
+        self._tcp.rpc = weakref.proxy(self)  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
         self._serving = False
         self._closed = False
@@ -452,7 +458,7 @@ class RpcServer:
             raise RuntimeError("server already started")
         self._serving = True
         self._thread = threading.Thread(
-            target=self._tcp.serve_forever,
+            target=self.serve_forever,
             name="repro-rpc-server",
             daemon=True,
         )

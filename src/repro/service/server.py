@@ -8,11 +8,15 @@ are the wire format a transport would serialize):
 
 * **Sharded evaluation.**  The database is a
   :class:`repro.data.sharding.ShardedColumnarDatabase`; masks and bin
-  indices are computed shard by shard (on the database's executor when
+  layouts are computed shard by shard (on the database's executor when
   it has one) and merged bit-identically to single-node evaluation.
 * **Cross-request caching.**  Policy masks are cached per
-  ``(shard, policy)`` and bin indices per ``(shard, binning)``, so a
-  burst of requests over the same policy pays the mask once; the
+  ``(shard, policy)`` and bin layouts
+  (:class:`~repro.queries.histogram.BinLayout`: the binning's own
+  histogram ``x`` plus a record grouping by bin) per
+  ``(shard, binning)``, so a burst of requests over the same policy
+  pays the mask once and a new policy over a known binning pays only
+  its mask and one segmented sum per shard; the
   assembled :class:`~repro.queries.histogram.HistogramInput` is cached
   per ``(binning, policy)``.  Cache keys prefer the objects'
   ``cache_key()`` *value identity* (so a transport that deserializes a
@@ -78,11 +82,11 @@ from repro.data.columnar import ColumnarDatabase
 from repro.data.sharding import ShardedColumnarDatabase
 from repro.mechanisms.base import MechanismRegistry
 from repro.queries.histogram import (
+    BinLayout,
     HistogramInput,
     HistogramQuery,
     _shard_histogram_counts,
     binning_from_spec,
-    counts_from_mask,
 )
 
 
@@ -220,18 +224,21 @@ class ReleaseServer:
         # an incremental append/expire bumps the touched shards'
         # versions, so stale entries miss lazily and only those shards
         # recompute.  (shard index, policy key) -> (version, int8 mask);
-        # (shard index, binning key) -> (version, int64 bin indices);
+        # (shard index, binning key) -> (version, BinLayout);
         # (shard index, binning key, policy key) -> (version, (x, x_ns));
         # (binning key, policy key) -> (versions tuple, HistogramInput).
         # Keys come from _key(); _keyed tracks every live key in
         # insertion order — it pins identity-keyed objects (so CPython
         # cannot recycle an id into a stale hit) and is the LRU
-        # eviction queue bounding total cache growth.
+        # eviction queue bounding total cache growth.  _pairs maps each
+        # live key to the (binning key, policy key) pairs it takes part
+        # in, so eviction finds its counts/histogram entries directly.
         self._mask_cache: dict[tuple, tuple[int, np.ndarray]] = {}
-        self._index_cache: dict[tuple, tuple[int, np.ndarray]] = {}
+        self._index_cache: dict[tuple, tuple[int, BinLayout]] = {}
         self._counts_cache: dict[tuple, tuple[int, tuple]] = {}
         self._hist_cache: dict[tuple, tuple[tuple, HistogramInput]] = {}
         self._keyed: dict[tuple, object] = {}
+        self._pairs: dict[tuple, set[tuple]] = {}
         # One reentrant lock guards every structure above *and* all
         # access to the sharded engine/executor (a worker pool's pipes
         # serve one fan-out at a time).  handle() holds it only for
@@ -290,15 +297,23 @@ class ReleaseServer:
         return key
 
     def _evict(self, key: tuple) -> None:
-        """Drop one keyed object and every cache entry referencing it."""
+        """Drop one keyed object and every cache entry referencing it.
+
+        Costs the key's own entries, not a scan of every cache:
+        per-shard entries are popped by ``(shard, key)``, and the
+        ``(binning, policy)`` pairs come from ``_pairs``.
+        """
         self._keyed.pop(key, None)
-        for cache in (self._mask_cache, self._index_cache):
-            for entry in [k for k in cache if k[1] == key]:
-                del cache[entry]
-        for entry in [k for k in self._counts_cache if key in k[1:]]:
-            del self._counts_cache[entry]
-        for entry in [k for k in self._hist_cache if key in k]:
-            del self._hist_cache[entry]
+        shards = range(self.n_shards)
+        for i in shards:
+            self._mask_cache.pop((i, key), None)
+            self._index_cache.pop((i, key), None)
+        for pair in self._pairs.pop(key, ()):
+            for other in pair:
+                self._pairs.get(other, set()).discard(pair)
+            self._hist_cache.pop(pair, None)
+            for i in shards:
+                self._counts_cache.pop((i, *pair), None)
         self.stats.evictions += 1
 
     def _per_shard(
@@ -344,13 +359,13 @@ class ReleaseServer:
                 "mask_misses",
             )
 
-    def shard_bin_indices(self, binning) -> list[np.ndarray]:
-        """Per-shard bin-index arrays, cached per ``(shard, binning key)``."""
+    def shard_layouts(self, binning) -> list[BinLayout]:
+        """Per-shard bin layouts, cached per ``(shard, binning key)``."""
         with self._lock:
             return self._per_shard(
                 self._index_cache,
                 self._key(binning),
-                binning.bin_indices,
+                functools.partial(BinLayout.of_shard, binning=binning),
                 "index_hits",
                 "index_misses",
             )
@@ -364,7 +379,8 @@ class ReleaseServer:
         worker pool as the executor, the partial below travels as a
         pure spec request and only the O(bins) count pairs come back;
         otherwise the counts derive from the cached per-shard masks and
-        bin indices (which themselves refresh only their stale shards).
+        bin layouts (which themselves refresh only their stale shards):
+        ``x`` is the layout's own, ``x_ns`` one segmented sum of the mask.
         """
         versions = self._db.shard_versions
         cache = self._counts_cache
@@ -384,13 +400,10 @@ class ReleaseServer:
                     indices=stale,
                 )
             else:
-                n_bins = binning.n_bins
                 masks = self.shard_masks(policy)
-                indices = self.shard_bin_indices(binning)
+                layouts = self.shard_layouts(binning)
                 pairs = [
-                    counts_from_mask(
-                        indices[i], masks[i] == NON_SENSITIVE, n_bins
-                    )
+                    layouts[i].counts(masks[i] == NON_SENSITIVE)
                     for i in stale
                 ]
             for i, pair in zip(stale, pairs):
@@ -418,6 +431,8 @@ class ReleaseServer:
                 self.stats.hist_hits += 1
                 return cached[1], True
             self.stats.hist_misses += 1
+            for k in key:
+                self._pairs.setdefault(k, set()).add(key)
             hist = HistogramInput.from_shard_counts(
                 self._shard_counts(binning, policy, bkey, pkey)
             )
@@ -610,3 +625,4 @@ class ReleaseServer:
             self._counts_cache.clear()
             self._hist_cache.clear()
             self._keyed.clear()
+            self._pairs.clear()

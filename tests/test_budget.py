@@ -32,6 +32,7 @@ import threading
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.accountant import (
     AnalystQuotaExceededError,
@@ -417,3 +418,79 @@ def test_journal_recovery_rebuilds_identical_guarantee(policy):
             assert (
                 recovered.policy.cache_key() == original.policy.cache_key()
             )
+
+
+# ----------------------------------------------------------------------
+# Property: running totals equal a left-to-right re-sum of the ledger
+# ----------------------------------------------------------------------
+
+
+def _resum(ledger, analyst: str | None = None) -> float:
+    """The ledger summed in append order (what ``spent`` must equal)."""
+    total = 0.0
+    for entry in ledger:
+        if analyst is None or entry.analyst == analyst:
+            total = total + entry.epsilon
+    return total
+
+
+_ANALYSTS = ("", "alice", "bob", "carol")
+_QUOTAS = {"alice": 1.5, "bob": 0.7}
+
+
+def _assert_totals_match_ledger(acct) -> None:
+    ledger = acct.ledger
+    # Bitwise: float.hex() distinguishes values == would round together.
+    assert acct.spent.hex() == _resum(ledger).hex()
+    assert acct.remaining == acct.total_epsilon - _resum(ledger)
+    for analyst in _ANALYSTS:
+        assert acct.spent_by(analyst).hex() == _resum(ledger, analyst).hex()
+        quota = _QUOTAS.get(analyst)
+        if quota is not None:
+            assert acct.quota_remaining(analyst) == quota - _resum(
+                ledger, analyst
+            )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    charges=st.lists(
+        st.tuples(
+            st.one_of(
+                st.floats(1e-6, 0.6, allow_nan=False),
+                st.sampled_from((0.1, 0.2, 0.3, 1 / 3)),
+            ),
+            st.sampled_from(_ANALYSTS),
+        ),
+        max_size=40,
+    )
+)
+def test_running_totals_match_a_ledger_resum(charges):
+    """``spent``/``spent_by``/``remaining`` are running totals; they
+    must stay bit-identical to re-summing the ledger in append order —
+    through refused charges, quota'd analysts, journal compaction and
+    recovery."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as directory:
+        with DurableAccountant(
+            directory, total_epsilon=4.0, quotas=_QUOTAS, snapshot_every=7
+        ) as acct:
+            for epsilon, analyst in charges:
+                try:
+                    acct.for_analyst(analyst).charge(OptInPolicy(), epsilon)
+                except BudgetExceededError:
+                    pass
+                _assert_totals_match_ledger(acct)
+            spent = acct.spent
+        with DurableAccountant(
+            directory, total_epsilon=4.0, quotas=_QUOTAS, snapshot_every=7
+        ) as back:
+            assert back.spent.hex() == spent.hex()
+            _assert_totals_match_ledger(back)
+            # An in-memory accountant seeded with a ledger derives the
+            # same totals at construction.
+            seeded = PrivacyAccountant(
+                total_epsilon=4.0, quotas=_QUOTAS, _ledger=list(back.ledger)
+            )
+            _assert_totals_match_ledger(seeded)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import random
 import signal
+import socket
 import time
 
 import numpy as np
@@ -192,6 +193,9 @@ class TestSupervisor:
                 assert time.monotonic() < deadline, "child never restarted"
                 time.sleep(0.05)
             assert doc["address"] == victim["address"]  # same port
+            # A counted restart is already listening: a bare connect
+            # (no client-side retry) succeeds at once.
+            socket.create_connection(doc["address"], timeout=5).close()
             with RemoteBackend(*doc["address"], timeout=10.0) as backend:
                 assert backend.ping()["n_records"] == 300
             log = "\n".join(supervisor.events())

@@ -6,11 +6,13 @@ import pytest
 from repro.core.policy import AttributePolicy
 from repro.data.database import Database
 from repro.queries.histogram import (
+    BinLayout,
     CategoricalBinning,
     HistogramInput,
     HistogramQuery,
     IntegerBinning,
     Product2DBinning,
+    counts_from_mask,
     flatten_2d,
 )
 
@@ -133,3 +135,65 @@ class TestHistogramInput:
                 x_ns=np.zeros(3),
                 sensitive_bin_mask=np.zeros(4, dtype=bool),
             )
+
+
+class TestBinLayout:
+    """The cached per-shard layout counts exactly like ``hist_pair``."""
+
+    @staticmethod
+    def _assert_matches(indices, n_bins, seed=0):
+        layout = BinLayout(indices, n_bins)
+        ns = np.random.default_rng(seed).random(len(indices)) < 0.4
+        x, x_ns = layout.counts(ns)
+        ref_x, ref_x_ns = counts_from_mask(indices, ns, n_bins)
+        assert x.dtype == x_ns.dtype == np.int64
+        assert np.array_equal(x, ref_x)
+        assert np.array_equal(x_ns, ref_x_ns)
+        return layout
+
+    def test_sorted_indices_need_no_permutation(self):
+        indices = np.repeat(np.arange(0, 40, 3), 5)
+        layout = self._assert_matches(indices, 40)
+        assert layout.order is None
+
+    def test_shuffled_indices_match_hist_pair(self):
+        rng = np.random.default_rng(1)
+        layout = self._assert_matches(rng.integers(0, 300, 5000), 300)
+        assert layout.order is not None
+
+    def test_wide_domain_sorts_on_the_full_key(self):
+        # More bins than a 16-bit key can hold: indices above 65535
+        # must not wrap into low bins.
+        n_bins = 70_000
+        rng = np.random.default_rng(2)
+        indices = rng.choice(
+            np.array([0, 5, 65_535, 65_536, 65_541, n_bins - 1]), 4000
+        )
+        layout = self._assert_matches(indices, n_bins)
+        assert layout.order is not None
+        assert set(layout.nz) == {0, 5, 65_535, 65_536, 65_541, n_bins - 1}
+
+    def test_x_is_shared_and_read_only(self):
+        layout = BinLayout(np.array([2, 0, 2]), 3)
+        x_a, _ = layout.counts(np.array([True, False, False]))
+        x_b, x_ns = layout.counts(np.array([False, True, True]))
+        assert x_a is x_b is layout.x
+        assert not layout.x.flags.writeable
+        assert x_ns.tolist() == [1, 0, 1]
+
+    def test_empty_shard_counts_zeros(self):
+        layout = BinLayout(np.empty(0, dtype=np.int64), 4)
+        x, x_ns = layout.counts(np.empty(0, dtype=bool))
+        assert x.tolist() == x_ns.tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_out_of_range_index_raises_at_build(self, bad):
+        with pytest.raises(ValueError, match="outside \\[0, 5\\)"):
+            BinLayout(np.array([0, bad, 4]), 5)
+
+    def test_mask_length_mismatch_rejected(self):
+        layout = BinLayout(np.array([0, 1, 1]), 2)
+        with pytest.raises(ValueError, match="covers 3 records"):
+            layout.counts(np.ones(4, dtype=bool))
+        with pytest.raises(ValueError, match="covers 3 records"):
+            layout.counts(np.ones(2, dtype=bool))

@@ -14,9 +14,11 @@ Every test skips with a reason where loopback sockets are unavailable
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import socket
+import weakref
 
 import numpy as np
 import pytest
@@ -232,6 +234,22 @@ class TestBrokenConnections:
             backend.close()
             with pytest.raises(ConnectionError, match="closed or broken"):
                 backend.ping()
+
+    def test_closed_server_frees_what_it_served_without_the_gc(self):
+        """No reference cycle pins a closed server: its ReleaseServer
+        (and the table behind it) go as soon as the last reference
+        does, not whenever the cyclic collector next runs."""
+        server = ReleaseServer(_db(200).shard(1))
+        freed = weakref.ref(server)
+        gc.disable()
+        try:
+            with RpcServer(server).start() as rpc:
+                with OsdpClient.connect(*rpc.address) as client:
+                    client.release(_request())
+            del server, rpc, client
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 def _batch_failure(mirror, requests) -> BatchBudgetExceededError:

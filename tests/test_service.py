@@ -174,6 +174,54 @@ class TestCaching:
             b in live and p in live for b, p in server._hist_cache
         )
 
+    def test_eviction_leaves_no_orphan_entries(self):
+        """Eviction finds a key's counts/histogram entries without a
+        scan; every surviving entry still references live keys."""
+        server = ReleaseServer(_db(500).shard(3), cache_limit=3)
+        binnings = [BINNING, IntegerBinning("age", 0, 100, 25)]
+        for i in range(8):
+            policy = AttributePolicy("age", lambda v, t=i: v < 10 * t)
+            server.handle(_request(binning=binnings[i % 2], policy=policy))
+        assert server.stats.evictions > 0
+        live = set(server._keyed)
+        assert set(server._pairs) <= live
+        assert all(
+            k[1] in live and k[2] in live for k in server._counts_cache
+        )
+        assert all(k[1] in live for k in server._index_cache)
+        pairs = {p for ps in server._pairs.values() for p in ps}
+        assert set(server._hist_cache) <= pairs
+        assert {k[1:] for k in server._counts_cache} <= pairs
+
+    def test_new_policy_reuses_bin_layouts(self, server):
+        """A cold policy over a known binning pays only its masks: the
+        per-shard layouts (x and the bin grouping) are reused."""
+        for i in range(3):
+            policy = AttributePolicy("age", lambda v, t=i: v < 20 + t)
+            response = server.handle(_request(policy=policy, seed=i))
+            hist = HistogramInput.from_columnar(
+                server.db, HistogramQuery(BINNING), policy
+            )
+            reference = OsdpLaplaceL1Histogram(0.25).release_batch(
+                hist, np.random.default_rng(i), 1
+            )
+            assert np.array_equal(response.estimates, reference)
+        assert server.stats.index_misses == server.n_shards
+        assert server.stats.index_hits == 2 * server.n_shards
+
+    def test_out_of_range_binning_still_raises(self, server):
+        class OffByOne:
+            """Maps every record one past the last bin."""
+
+            n_bins = 3
+
+            def bin_indices(self, columns):
+                return np.full(len(columns), 3, dtype=np.int64)
+
+        with pytest.raises(ValueError, match="outside \\[0, 3\\)"):
+            server.histogram_input(OffByOne(), POLICY)
+        assert server.accountant.spent == 0.0
+
     def test_batch_traffic_hits_cache(self, server):
         requests = [
             _request(seed=s, n_trials=2) for s in range(4)

@@ -11,9 +11,10 @@ evaluation paths are **bit-identical**:
   merged by concatenation.
 
 The same holds for bin indices, bincounts, the assembled
-``HistogramInput``, and — in the spawned-rng exact mode — the released
-estimates themselves, which pins down the end-to-end release path, not
-just the data plumbing.
+``HistogramInput`` (including the release server's cached assembly over
+per-shard bin layouts, across live appends and expiries), and — in the
+spawned-rng exact mode — the released estimates themselves, which pins
+down the end-to-end release path, not just the data plumbing.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ from repro.queries.histogram import (
     HistogramInput,
     HistogramQuery,
     IntegerBinning,
+    Product2DBinning,
     histogram_input_for,
 )
+from repro.service import ReleaseServer
 
 MAX_EXAMPLES = 30
 CITIES = ("amber", "blue", "coral", "dune")
@@ -220,6 +223,94 @@ def test_categorical_bincount_bit_identical(records, k):
         binning.bin_indices(db), binning.bin_indices(sharded)
     )
     assert np.array_equal(db.histogram(binning), sharded.histogram(binning))
+
+
+# ----------------------------------------------------------------------
+# Release-server assembly == HistogramInput.from_columnar
+# ----------------------------------------------------------------------
+
+BINNINGS = (
+    IntegerBinning("age", 0, 100, 1),
+    IntegerBinning("age", 0, 100, 10),
+    CategoricalBinning("city", CITIES),
+    Product2DBinning(
+        IntegerBinning("age", 0, 100, 25), CategoricalBinning("city", CITIES)
+    ),
+)
+
+# Live updates: append a fresh batch, or expire a prefix (clamped to
+# the records still held).
+updates = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), flat_records()),
+        st.tuples(st.just("expire"), st.integers(0, 60)),
+    ),
+    max_size=3,
+)
+
+
+def _assert_same_input(a: HistogramInput, b: HistogramInput) -> None:
+    for field in ("x", "x_ns", "sensitive_bin_mask"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+@given(
+    records=flat_records(),
+    policies=st.lists(
+        st.one_of(
+            flat_policies(),
+            st.sampled_from((AllSensitivePolicy(), AllNonSensitivePolicy())),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    binning=st.sampled_from(BINNINGS),
+    k=shard_counts,
+    bin_sorted=st.booleans(),
+    rnd=st.randoms(use_true_random=False),
+    steps=updates,
+    cache_limit=st.integers(2, 5),
+)
+def test_server_histogram_input_matches_from_columnar(
+    records, policies, binning, k, bin_sorted, rnd, steps, cache_limit
+):
+    """The server's cached assembly (per-shard bin layouts + masks) is
+    bit-identical to the uncached library path, for bin-sorted and
+    shuffled shards, empty shards, all-(non-)sensitive masks, LRU
+    eviction, and interleaved appends/expiries."""
+    if bin_sorted:
+        records = sorted(records, key=binning.bin_of)
+    else:
+        rnd.shuffle(records)
+    held = list(records)
+    server = ReleaseServer(
+        ColumnarDatabase.from_records(records).shard(k),
+        cache_limit=cache_limit,
+    )
+    query = HistogramQuery(binning)
+    for step in [None, *steps]:
+        if step is not None and step[0] == "append":
+            server.append_records(step[1])
+            held.extend(step[1])
+        elif step is not None:
+            n = min(step[1], len(held))
+            server.expire_prefix(n)
+            del held[:n]
+        for policy in policies:
+            got, _ = server.histogram_input(binning, policy)
+            _assert_same_input(
+                got, HistogramInput.from_columnar(server.db, query, policy)
+            )
+            if held:
+                _assert_same_input(
+                    got,
+                    HistogramInput.from_columnar(
+                        ColumnarDatabase.from_records(held), query, policy
+                    ),
+                )
 
 
 # ----------------------------------------------------------------------
